@@ -46,14 +46,51 @@ type mergedBag struct {
 	left, right sidePair
 }
 
+// relayState is one process's GroupRelay context across epochs: its
+// static group context and the round scratch of groupBitsAggregation,
+// reused from one call to the next the way linkState holds the gossip
+// scratch.
+type relayState struct {
+	gi     groupInfo
+	others []int // group members other than self, ascending
+
+	// Per-layer scratch. merged is dense, indexed by bag: BagOf(j, m) =
+	// m>>(j-1), so for every layer j >= 2 the bag indices fit in
+	// [0, (w-1)>>1]. The zero mergedBag means "nothing heard for this
+	// bag", exactly what an untouched entry should say.
+	merged    []mergedBag
+	heardFrom []int         // sources whose round-1 message arrived
+	out       []sim.Message // reused outbox (backing reusable after Exchange)
+}
+
+func newRelayState(p Params, id int) *relayState {
+	gi := newGroupInfo(p, id)
+	w := len(gi.members)
+	rs := &relayState{
+		gi:        gi,
+		others:    make([]int, 0, w-1),
+		merged:    make([]mergedBag, (w-1)>>1+1),
+		heardFrom: make([]int, 0, w-1),
+		out:       make([]sim.Message, 0, w-1),
+	}
+	for _, m := range gi.members {
+		if m != id {
+			rs.others = append(rs.others, m)
+		}
+	}
+	return rs
+}
+
 // groupBitsAggregation implements Algorithm 2. Every process participates
 // in its group's tree for exactly 3*(Layers-1) rounds: operative processes
 // act as sources and transmitters, inoperative ones (per the GroupRelay
 // specification) keep serving as transmitters. It returns the operative
 // counts of ones and zeros for the whole group (meaningful only while the
 // process remains operative) and the updated operative status.
-func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b int) (gOnes, gZeros int, stillOperative bool) {
+func groupBitsAggregation(env sim.Env, p Params, rs *relayState, operative bool, b int) (gOnes, gZeros int, stillOperative bool) {
 	id := env.ID()
+	gi := rs.gi
+	others, merged := rs.others, rs.merged
 	w := len(gi.members)
 	need := w/2 + 1 // strict majority of the group, self included
 
@@ -67,20 +104,9 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 		}
 	}
 
-	others := make([]int, 0, w-1)
-	for _, m := range gi.members {
-		if m != id {
-			others = append(others, m)
-		}
-	}
-
-	// Per-layer scratch, reused across layers. merged is dense, indexed by
-	// bag: BagOf(j, m) = m>>(j-1), so for every layer j >= 2 the bag
-	// indices fit in [0, (w-1)>>1]. The zero mergedBag means "nothing
-	// heard for this bag", exactly what an untouched entry should say.
-	merged := make([]mergedBag, (w-1)>>1+1)
-	heardFrom := make([]int, 0, w-1)
-	out := make([]sim.Message, 0, w-1)
+	// Both buffers hold at most one entry per other member, so their
+	// w-1 capacity never grows.
+	heardFrom, out := rs.heardFrom, rs.out
 
 	layers := p.Tree.Layers()
 	for j := 2; j <= layers; j++ {
@@ -99,7 +125,7 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 		for i := range merged {
 			merged[i] = mergedBag{}
 		}
-		heardFrom = heardFrom[:0] // sources whose round-1 message arrived
+		heardFrom = heardFrom[:0]
 		record := func(senderIdx, ones, zeros int) {
 			mb := &merged[p.Tree.BagOf(j, senderIdx)]
 			side := &mb.right
@@ -131,10 +157,7 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 		// majority of confirmations become inoperative — Lemma 1's
 		// intersection argument requires the acknowledgment to certify
 		// "your counts reached me", so acks are per-source. ---
-		out = out[:0]
-		for _, src := range heardFrom {
-			out = append(out, sim.Msg(id, src, AckMsg{}))
-		}
+		out = sim.AppendBroadcast(out[:0], id, AckMsg{}, heardFrom)
 		in = env.Exchange(out)
 		acks := 0
 		if operative {
@@ -152,11 +175,18 @@ func groupBitsAggregation(env sim.Env, p Params, gi groupInfo, operative bool, b
 		}
 
 		// --- GroupRelay round 3: transmitters return the merged
-		// counts, tailored to each recipient's bag. ---
+		// counts, tailored to each recipient's bag. others is ascending
+		// and BagOf is a right shift, so each bag's members form one
+		// contiguous run, and the run shares one payload. ---
 		out = out[:0]
-		for _, q := range others {
-			qBag := p.Tree.BagOf(j, q-gi.base)
-			out = append(out, sim.Msg(id, q, bagToMsg(merged[qBag])))
+		for lo := 0; lo < len(others); {
+			bag := p.Tree.BagOf(j, others[lo]-gi.base)
+			hi := lo + 1
+			for hi < len(others) && p.Tree.BagOf(j, others[hi]-gi.base) == bag {
+				hi++
+			}
+			out = sim.AppendBroadcast(out, id, bagToMsg(merged[bag]), others[lo:hi])
+			lo = hi
 		}
 		in = env.Exchange(out)
 

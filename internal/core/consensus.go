@@ -68,7 +68,7 @@ func TruncatedConsensus(env sim.Env, input int, p Params) (value int, ok bool, e
 // biased-majority update of lines 9-12.
 func epochs(env sim.Env, input int, p Params) (b int, decided, operative bool) {
 	id := env.ID()
-	gi := newGroupInfo(p, id)
+	rs := newRelayState(p, id)
 	ls := newLinkState(p, id)
 
 	b = input
@@ -84,7 +84,7 @@ func epochs(env sim.Env, input int, p Params) (b int, decided, operative bool) {
 		// serving as transmitters (GroupRelay's specification) but
 		// never as sources.
 		closeAgg := env.Span("group-relay")
-		gOnes, gZeros, stillOp := groupBitsAggregation(env, p, gi, operative, b)
+		gOnes, gZeros, stillOp := groupBitsAggregation(env, p, rs, operative, b)
 		closeAgg()
 		wasOperative := operative
 		operative = wasOperative && stillOp
@@ -98,7 +98,7 @@ func epochs(env sim.Env, input int, p Params) (b int, decided, operative bool) {
 
 		// Line 8: inter-group spreading along the Theorem-4 graph.
 		closeSpread := env.Span("spreading")
-		ones, zeros, stillOp := groupBitsSpreading(env, p, ls, gi.index, gOnes, gZeros)
+		ones, zeros, stillOp := groupBitsSpreading(env, p, ls, rs.gi.index, gOnes, gZeros)
 		closeSpread()
 		if !stillOp {
 			// Partial counts are never used: only processes

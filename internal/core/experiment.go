@@ -44,8 +44,8 @@ func RunAggregationExperiment(inputs []int, adv sim.Adversary, seed uint64) (*Ag
 	}
 	res, err := sim.Run(sim.Config{N: n, T: budgetOf(adv, n), Inputs: inputs, Seed: seed, Adversary: adv},
 		func(env sim.Env, input int) (int, error) {
-			gi := newGroupInfo(p, env.ID())
-			ones, zeros, op := groupBitsAggregation(env, p, gi, true, input)
+			rs := newRelayState(p, env.ID())
+			ones, zeros, op := groupBitsAggregation(env, p, rs, true, input)
 			rep.Ones[env.ID()] = ones
 			rep.Zeros[env.ID()] = zeros
 			rep.Operative[env.ID()] = op

@@ -6,39 +6,38 @@ import (
 )
 
 // linkState is the cross-epoch gossip bookkeeping of Algorithm 3: the
-// neighbor set V_p in the Theorem-4 graph and the permanently disregarded
-// links ("refutes to accept messages from them in any future round of the
-// algorithm GroupBitsSpreading"). It also owns the per-epoch gossip
-// scratch, packed as bit-vectors and reused across epochs so that a
-// steady-state gossip round's only allocations are the exact-fit payload
-// slices (payloads are immutable once sent, per the Exchange contract, so
-// they cannot be pooled).
+// neighbor set V_p in the Theorem-4 graph, split into the links still live
+// and the permanently disregarded ones ("refutes to accept messages from
+// them in any future round of the algorithm GroupBitsSpreading"). It also
+// owns the per-epoch gossip scratch, packed as bit-vectors and reused
+// across epochs. Payloads are immutable once sent (the Exchange contract),
+// so instead of being pooled each round's one payload is shared by every
+// live link: a steady-state gossip round allocates one exact-fit entry
+// slice, not one per link.
 type linkState struct {
-	neighbors   []int
+	live        []int       // V_p minus disregarded, in neighbor order
 	disregarded *bitset.Set // pids whose links are permanently cut
 
 	// Per-epoch scratch, cleared at the top of groupBitsSpreading.
 	present *bitset.Set   // groups whose counts are known this epoch
 	entries []GroupCount  // entries[g] valid iff present.Contains(g)
-	sentTo  []*bitset.Set // per-neighbor dedup, indexed like neighbors
+	sent    *bitset.Set   // groups present at the previous send
 	heard   *bitset.Set   // pids heard this round
 	out     []sim.Message // reused outbox (backing reusable after Exchange)
 }
 
 func newLinkState(p Params, id int) *linkState {
-	ls := &linkState{
-		neighbors:   p.Graph.Neighbors(id),
+	// live is pruned in place, so it must not alias the graph's adjacency.
+	live := append([]int(nil), p.Graph.Neighbors(id)...)
+	return &linkState{
+		live:        live,
 		disregarded: bitset.New(p.N),
 		present:     bitset.New(p.Decomp.NumGroups()),
 		entries:     make([]GroupCount, p.Decomp.NumGroups()),
+		sent:        bitset.New(p.Decomp.NumGroups()),
 		heard:       bitset.New(p.N),
+		out:         make([]sim.Message, 0, len(live)),
 	}
-	ls.sentTo = make([]*bitset.Set, len(ls.neighbors))
-	for i := range ls.sentTo {
-		ls.sentTo[i] = bitset.New(p.Decomp.NumGroups())
-	}
-	ls.out = make([]sim.Message, 0, len(ls.neighbors))
-	return ls
 }
 
 // groupBitsSpreading implements Algorithm 3: GossipRounds rounds of
@@ -56,11 +55,12 @@ func groupBitsSpreading(env sim.Env, p Params, ls *linkState, myGroup, gOnes, gZ
 	present.Add(myGroup)
 	ls.entries[myGroup] = GroupCount{Group: myGroup, Ones: gOnes, Zeros: gZeros}
 
-	// sentTo deduplicates per link within this epoch: each group's counts
-	// travel over each edge at most once.
-	for _, sent := range ls.sentTo {
-		sent.Clear()
-	}
+	// Each group's counts travel over each edge at most once per epoch.
+	// One set serves every link: a disregarded link is never used again,
+	// and every live link was sent everything present at the previous
+	// send, so the fresh entries are present \ sent for all of them.
+	sent := ls.sent
+	sent.Clear()
 
 	operative = true
 	for r := 0; r < p.GossipRounds; r++ {
@@ -68,36 +68,28 @@ func groupBitsSpreading(env sim.Env, p Params, ls *linkState, myGroup, gOnes, gZ
 			env.Exchange(nil)
 			continue
 		}
-		out := ls.out[:0]
-		for qi, q := range ls.neighbors {
-			if ls.disregarded.Contains(q) {
-				continue
-			}
-			// fresh = present \ sentTo[q]; the difference popcount sizes
-			// the payload exactly before a single ascending-order fill
-			// (the same order the old per-group scan produced).
-			sent := ls.sentTo[qi]
-			var fresh []GroupCount
-			nf := present.DifferenceCount(sent)
-			if p.NoGossipDedup {
-				nf = present.Count()
-			}
-			if nf > 0 {
-				fresh = make([]GroupCount, 0, nf)
-				present.ForEach(func(g int) bool {
-					if p.NoGossipDedup || !sent.Contains(g) {
-						fresh = append(fresh, ls.entries[g])
-						sent.Add(g)
-					}
-					return true
-				})
-			}
-			// An empty SpreadMsg is the heartbeat the disregard
-			// rule needs: silence means omission, not idleness.
-			out = append(out, sim.Msg(id, q, SpreadMsg{Entries: fresh}))
+		// The difference popcount sizes the payload exactly before a
+		// single ascending-order fill (the order the wire format pins).
+		var fresh []GroupCount
+		nf := present.DifferenceCount(sent)
+		if p.NoGossipDedup {
+			nf = present.Count()
 		}
-		ls.out = out // keep the grown capacity
-		in := env.Exchange(out)
+		if nf > 0 {
+			fresh = make([]GroupCount, 0, nf)
+			present.ForEach(func(g int) bool {
+				if p.NoGossipDedup || !sent.Contains(g) {
+					fresh = append(fresh, ls.entries[g])
+					sent.Add(g)
+				}
+				return true
+			})
+		}
+		// One immutable payload, referenced by the message to every live
+		// neighbor. An empty SpreadMsg is the heartbeat the disregard
+		// rule needs: silence means omission, not idleness.
+		ls.out = sim.AppendBroadcast(ls.out[:0], id, SpreadMsg{Entries: fresh}, ls.live)
+		in := env.Exchange(ls.out)
 
 		heard := ls.heard
 		heard.Clear()
@@ -119,11 +111,15 @@ func groupBitsSpreading(env sim.Env, p Params, ls *linkState, myGroup, gOnes, gZ
 		// one SpreadMsg per round, so distinct heard senders = messages
 		// received from non-disregarded neighbors.
 		received := heard.Count()
-		for _, q := range ls.neighbors {
-			if !ls.disregarded.Contains(q) && !heard.Contains(q) {
+		live := ls.live[:0]
+		for _, q := range ls.live {
+			if heard.Contains(q) {
+				live = append(live, q)
+			} else {
 				ls.disregarded.Add(q)
 			}
 		}
+		ls.live = live
 		if received < p.OperativeThreshold {
 			operative = false
 		}

@@ -321,6 +321,15 @@ func (e *Engine) loop(res *Result) error {
 // engine-owned buffers; a steady-state round allocates nothing.
 func (e *Engine) communicate(res *Result, round int, submitted []bool, outs [][]Message) error {
 	n := e.cfg.N
+	// Size the outbox once to the round's exact total: growing it by
+	// append re-copies the whole round at every 1.25x step.
+	total := 0
+	for p := 0; p < n; p++ {
+		total += len(outs[p])
+	}
+	if cap(e.outbox) < total {
+		e.outbox = make([]Message, 0, total)
+	}
 	outbox := e.outbox[:0]
 	var sentBits int64
 	for p := 0; p < n; p++ {
@@ -335,7 +344,7 @@ func (e *Engine) communicate(res *Result, round int, submitted []bool, outs [][]
 			sentBits += m.Bits()
 		}
 	}
-	e.outbox = outbox // keep the grown capacity for the next round
+	e.outbox = outbox
 	e.counters.AddMessages(int64(len(outbox)), sentBits)
 
 	if e.fast {

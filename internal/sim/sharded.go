@@ -265,6 +265,15 @@ func (s *shardedEngine) loop() error {
 // statement order matches Engine.communicate so aborted executions account
 // (and trace) identically.
 func (s *shardedEngine) communicate() error {
+	// Size the merged outbox once to the round's exact total, as
+	// Engine.communicate does, instead of growing it by append.
+	total := 0
+	for w := range s.shards {
+		total += len(s.shards[w].outbox)
+	}
+	if cap(s.outbox) < total {
+		s.outbox = make([]Message, 0, total)
+	}
 	out := s.outbox[:0]
 	var bits int64
 	for w := range s.shards {
@@ -277,7 +286,7 @@ func (s *shardedEngine) communicate() error {
 		out = append(out, st.outbox...)
 		bits += st.sentBits
 	}
-	s.outbox = out // keep the grown capacity for the next round
+	s.outbox = out
 	s.counters.AddMessages(int64(len(out)), bits)
 
 	if s.fast {
