@@ -114,8 +114,8 @@ func (p bitPayload) AppendWire(buf []byte) []byte {
 	return wire.AppendUvarint(buf, uint64(p.b))
 }
 
-// passThrough forces the engine's full adversarial path (sort + View +
-// legality) while taking no actions, mirroring the in-package benchmarks.
+// passThrough forces the engine's full adversarial path (View + legality)
+// while taking no actions, mirroring the in-package benchmarks.
 type passThrough struct{}
 
 func (passThrough) Name() string              { return "pass-through" }

@@ -68,18 +68,17 @@ func dropTouching(v *sim.View, isCorrupted func(p int) bool, alsoIncoming bool) 
 	return drop
 }
 
-// corruptedSet merges the view's standing corruptions with a pending batch.
-func corruptedSet(v *sim.View, pending []int) map[int]bool {
-	m := make(map[int]bool)
-	for p, c := range v.Corrupted {
-		if c {
-			m[p] = true
+// corruptedSet merges the view's standing corruptions with a pending batch
+// into a dense per-pid mask, indexed once or twice per outbox message.
+// Out-of-range pending pids are ignored here; legality rejects them.
+func corruptedSet(v *sim.View, pending []int) []bool {
+	bad := append([]bool(nil), v.Corrupted...)
+	for _, p := range pending {
+		if p >= 0 && p < len(bad) {
+			bad[p] = true
 		}
 	}
-	for _, p := range pending {
-		m[p] = true
-	}
-	return m
+	return bad
 }
 
 // StaticCrash corrupts a fixed target set in round 1 and silences all their

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"omicon/internal/graph"
@@ -258,5 +259,45 @@ func TestSplitVoteCorruptsBothCamps(t *testing.T) {
 	}
 	if ones == 0 || zeros == 0 {
 		t.Fatalf("corruptions one-sided: ones=%d zeros=%d", ones, zeros)
+	}
+}
+
+// TestCorruptedSetUnion pins the dense corrupted set every strategy indexes
+// per message: pid p is in it exactly when the view already marks p
+// corrupted or p is in the pending batch; the view itself is left alone;
+// and a pending pid outside [0, n) is ignored without a panic (legality,
+// not the strategy, rejects it).
+func TestCorruptedSetUnion(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 11))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.IntN(40)
+		v := &sim.View{N: n, Corrupted: make([]bool, n)}
+		want := make([]bool, n)
+		for p := range v.Corrupted {
+			v.Corrupted[p] = r.IntN(4) == 0
+			want[p] = v.Corrupted[p]
+		}
+		before := append([]bool(nil), v.Corrupted...)
+		var pending []int
+		for i := r.IntN(6); i > 0; i-- {
+			p := r.IntN(n+4) - 2 // includes -2, -1, n and n+1
+			pending = append(pending, p)
+			if p >= 0 && p < n {
+				want[p] = true
+			}
+		}
+		got := corruptedSet(v, pending)
+		if len(got) != n {
+			t.Fatalf("n=%d: corrupted set has %d entries", n, len(got))
+		}
+		for p := 0; p < n; p++ {
+			if got[p] != want[p] {
+				t.Fatalf("n=%d view=%v pending=%v: pid %d in set = %v, want %v",
+					n, before, pending, p, got[p], want[p])
+			}
+			if v.Corrupted[p] != before[p] {
+				t.Fatalf("n=%d pending=%v: corruptedSet wrote pid %d into the view", n, pending, p)
+			}
+		}
 	}
 }

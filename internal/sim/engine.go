@@ -86,9 +86,46 @@ var errAborted = errors.New("sim: execution aborted")
 type event struct {
 	pid      int
 	done     bool
-	out      []Message
+	sub      submission
 	decision int
 	err      error
+}
+
+// submission is one process's outbox for a round, validated and summed by
+// checkOutbox before it reaches the barrier.
+type submission struct {
+	msgs []Message
+	bits int64
+	// outOfOrder reports that some message's To is below its predecessor's,
+	// so the block is not already in canonical (From, To) order.
+	outOfOrder bool
+	// err is the first malformed message's error; msgs is nil when set.
+	err error
+}
+
+// checkOutbox validates the outbox process pid submits in an n-process
+// execution, sums its wire bits and records whether its targets ascend.
+// Both engines run it off the serial barrier — the default engine on the
+// sender's own goroutine, the sharded engine on the shard worker — and the
+// barrier then returns the smallest offending pid's error: the error an
+// ascending-pid scan of the merged outbox would have met first.
+func checkOutbox(pid, n int, msgs []Message) submission {
+	sub := submission{msgs: msgs}
+	prev := 0
+	for _, m := range msgs {
+		if m.From != pid {
+			return submission{err: fmt.Errorf("sim: process %d forged sender %d", pid, m.From)}
+		}
+		if m.To < 0 || m.To >= n {
+			return submission{err: fmt.Errorf("sim: process %d sent to invalid target %d", pid, m.To)}
+		}
+		if m.To < prev {
+			sub.outOfOrder = true
+		}
+		prev = m.To
+		sub.bits += m.Bits()
+	}
+	return sub
 }
 
 // Engine executes one configuration. Engines are single-use.
@@ -268,7 +305,7 @@ func (e *Engine) loop(res *Result) error {
 	n := e.cfg.N
 	active := n
 	submitted := make([]bool, n)
-	outs := make([][]Message, n)
+	outs := make([]submission, n)
 	numSubmitted := 0
 	round := 0
 	defer func() { e.lastRound = round }()
@@ -287,7 +324,7 @@ func (e *Engine) loop(res *Result) error {
 			}
 		} else {
 			submitted[ev.pid] = true
-			outs[ev.pid] = ev.out
+			outs[ev.pid] = ev.sub
 			numSubmitted++
 		}
 		if active == 0 || numSubmitted < active {
@@ -307,7 +344,7 @@ func (e *Engine) loop(res *Result) error {
 		for p := 0; p < n; p++ {
 			if submitted[p] {
 				submitted[p] = false
-				outs[p] = nil
+				outs[p] = submission{}
 			}
 		}
 		numSubmitted = 0
@@ -319,30 +356,28 @@ func (e *Engine) loop(res *Result) error {
 // adversary, enforce legality, deliver survivors. Everything here —
 // including the inbox arena delivered slices alias — runs on reused
 // engine-owned buffers; a steady-state round allocates nothing.
-func (e *Engine) communicate(res *Result, round int, submitted []bool, outs [][]Message) error {
+func (e *Engine) communicate(res *Result, round int, submitted []bool, outs []submission) error {
 	n := e.cfg.N
 	// Size the outbox once to the round's exact total: growing it by
 	// append re-copies the whole round at every 1.25x step.
 	total := 0
 	for p := 0; p < n; p++ {
-		total += len(outs[p])
+		total += len(outs[p].msgs)
 	}
 	if cap(e.outbox) < total {
 		e.outbox = make([]Message, 0, total)
 	}
 	outbox := e.outbox[:0]
 	var sentBits int64
+	sorted := true
 	for p := 0; p < n; p++ {
-		for _, m := range outs[p] {
-			if m.From != p {
-				return fmt.Errorf("sim: process %d forged sender %d", p, m.From)
-			}
-			if m.To < 0 || m.To >= n {
-				return fmt.Errorf("sim: process %d sent to invalid target %d", p, m.To)
-			}
-			outbox = append(outbox, m)
-			sentBits += m.Bits()
+		sub := &outs[p]
+		if sub.err != nil {
+			return sub.err
 		}
+		outbox = append(outbox, sub.msgs...)
+		sentBits += sub.bits
+		sorted = sorted && !sub.outOfOrder
 	}
 	e.outbox = outbox
 	e.counters.AddMessages(int64(len(outbox)), sentBits)
@@ -357,7 +392,13 @@ func (e *Engine) communicate(res *Result, round int, submitted []bool, outs [][]
 		return nil
 	}
 
-	e.orderer.Sort(outbox, n)
+	// Canonical by construction: blocks concatenate in ascending From
+	// order, so the stable (From, To) sort only reorders a block whose
+	// targets do not ascend. Every protocol here sends in ascending To
+	// order; the counting sort is the fallback.
+	if !sorted {
+		e.orderer.Sort(outbox, n)
+	}
 
 	view := e.makeView(res, round, outbox)
 	action := e.cfg.Adversary.Step(view)
@@ -474,8 +515,11 @@ func (e *Engine) makeView(res *Result, round int, outbox []Message) *View {
 }
 
 func (e *Engine) exchange(pid int, out []Message) []Message {
+	// Validate on the sender's goroutine: senders run in parallel, the
+	// barrier does not.
+	sub := checkOutbox(pid, e.cfg.N, out)
 	select {
-	case e.events <- event{pid: pid, out: out}:
+	case e.events <- event{pid: pid, sub: sub}:
 	case <-e.quit:
 		panic(errAborted)
 	}

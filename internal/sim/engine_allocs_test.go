@@ -5,7 +5,9 @@ package sim
 import (
 	"math"
 	"os"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestEngineRoundAllocationBudget gates the hot-path allocation work: with
@@ -160,6 +162,55 @@ func TestSparseRoundAllocsFlatInN(t *testing.T) {
 				t.Errorf("n=%d shards=%d: %.2f allocs per steady-state round, want O(1) in n (0)",
 					n, shards, perRound)
 			}
+		}
+	}
+}
+
+// oneRoundBytes returns the heap bytes one all-to-all round at n allocates
+// end to end under adv, in the engine shards selects.
+func oneRoundBytes(t *testing.T, n, shards int, adv Adversary) uint64 {
+	t.Helper()
+	proto := func(env Env, input int) (int, error) {
+		targets := make([]int, 0, n-1)
+		for i := 0; i < n; i++ {
+			if i != env.ID() {
+				targets = append(targets, i)
+			}
+		}
+		env.Exchange(Broadcast(env.ID(), bitPayload{1}, targets))
+		return 0, nil
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(Config{N: n, T: 0, Inputs: make([]int, n), Seed: 1,
+		Adversary: adv, Shards: shards}, proto); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestAdversarialRoundByteGuard guards the canonical-by-construction
+// outbox: protocols send in ascending To order, so the adversarial path
+// must not sort, and its bytes beyond the NoFaults fast path's are the View
+// and the drop mask only. A sort that runs again costs its scratch copy of
+// the outbox, about 1.0x the round's outbox bytes; the limit is 0.5x. The
+// guard counts bytes, not allocations, so the runtime's own
+// goroutine-parking churn cannot make it flaky; it keeps the smallest
+// difference over three runs. Excluded under -race like the tests above.
+func TestAdversarialRoundByteGuard(t *testing.T) {
+	const n = 256
+	outboxBytes := float64(n*(n-1)) * float64(unsafe.Sizeof(Message{}))
+	for _, shards := range []int{0, 2} {
+		best := math.Inf(1)
+		for trial := 0; trial < 3; trial++ {
+			full := float64(oneRoundBytes(t, n, shards, passThrough{}))
+			fast := float64(oneRoundBytes(t, n, shards, NoFaults{}))
+			best = min(best, (full-fast)/outboxBytes)
+		}
+		if best >= 0.5 {
+			t.Errorf("shards=%d: the adversarial round allocated %.2fx its outbox bytes beyond the fast path, limit 0.5x",
+				shards, best)
 		}
 	}
 }

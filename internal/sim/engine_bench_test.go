@@ -54,7 +54,7 @@ func BenchmarkEngineRoundThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineRoundAdversarial is the same workload forced down the full
-// adversarial path (canonical sort, View construction, legality checking)
+// adversarial path (View construction, legality checking)
 // by a do-nothing adversary that is not the NoFaults type.
 func BenchmarkEngineRoundAdversarial(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // passThrough acts exactly like NoFaults but, not being the NoFaults type,
-// forces the engine onto the canonical slow path (sort + View + legality).
+// forces the engine onto the full adversarial path (View + legality).
 type passThrough struct{}
 
 func (passThrough) Name() string      { return "pass-through" }

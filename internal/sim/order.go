@@ -1,11 +1,11 @@
 package sim
 
 // Addressed is implemented by message-like values carried from one process
-// to another. It is the key contract for CanonicalSort: both the in-memory
-// engine ([]Message) and the TCP coordinator (its internal frame batches)
-// order their per-round outboxes through the same helper, so the canonical
-// order — which Drop indices, transcripts and replay all depend on — cannot
-// drift between the two paths.
+// to another. It is the key contract for Orderer: the in-memory engines
+// ([]Message) sort a round through it whenever some sender's targets do not
+// ascend, and the TCP coordinator (its internal frame batches) sorts every
+// round through it, so the canonical order — which Drop indices,
+// transcripts and replay all depend on — cannot drift between the paths.
 type Addressed interface {
 	// Endpoints returns the sender and receiver process ids.
 	Endpoints() (from, to int)

@@ -27,8 +27,9 @@ import (
 // contiguous ascending pid ranges, is ascending pid order — exactly the
 // order the default engine's ascending-pid collection produces):
 //
-//   - per-shard outboxes concatenate in shard order before the canonical
-//     sort, so drop indices and delivery order cannot shift;
+//   - per-shard outboxes concatenate in shard order, before the fallback
+//     canonical sort when one runs, so drop indices and delivery order
+//     cannot shift;
 //   - per-shard done-event lists fold into the Result in shard order at
 //     the barrier, so decisions, termination rounds and queued trace
 //     events land as if pid-ordered;
@@ -84,6 +85,7 @@ type shardState struct {
 	lo, hi   int // contiguous pid range [lo, hi)
 	outbox   []Message
 	sentBits int64
+	sorted   bool // every pid's targets ascend: the block needs no sort
 	dones    []doneEvent
 	err      error // first validation error, in pid order
 	counts   []int // per-receiver counts, then absolute fill cursors
@@ -276,6 +278,7 @@ func (s *shardedEngine) communicate() error {
 	}
 	out := s.outbox[:0]
 	var bits int64
+	sorted := true
 	for w := range s.shards {
 		st := &s.shards[w]
 		if st.err != nil {
@@ -285,6 +288,7 @@ func (s *shardedEngine) communicate() error {
 		}
 		out = append(out, st.outbox...)
 		bits += st.sentBits
+		sorted = sorted && st.sorted
 	}
 	s.outbox = out
 	s.counters.AddMessages(int64(len(out)), bits)
@@ -297,7 +301,9 @@ func (s *shardedEngine) communicate() error {
 		return nil
 	}
 
-	s.orderer.Sort(out, s.cfg.N)
+	if !sorted { // canonical by construction otherwise, as in Engine.communicate
+		s.orderer.Sort(out, s.cfg.N)
+	}
 
 	s.setChunks(len(out))
 	if cap(s.droppedBuf) < len(out) {
@@ -437,6 +443,7 @@ func (s *shardedEngine) stepShard(w int) {
 	st := &s.shards[w]
 	st.outbox = st.outbox[:0]
 	st.sentBits = 0
+	st.sorted = true
 	st.dones = st.dones[:0]
 	st.err = nil
 	n := s.cfg.N
@@ -460,18 +467,14 @@ func (s *shardedEngine) stepShard(w int) {
 		if st.err != nil {
 			continue // round is aborting; keep stepping so the barrier completes
 		}
-		for _, m := range y.out {
-			if m.From != p {
-				st.err = fmt.Errorf("sim: process %d forged sender %d", p, m.From)
-				break
-			}
-			if m.To < 0 || m.To >= n {
-				st.err = fmt.Errorf("sim: process %d sent to invalid target %d", p, m.To)
-				break
-			}
-			st.outbox = append(st.outbox, m)
-			st.sentBits += m.Bits()
+		sub := checkOutbox(p, n, y.out)
+		if sub.err != nil {
+			st.err = sub.err
+			continue
 		}
+		st.outbox = append(st.outbox, sub.msgs...)
+		st.sentBits += sub.bits
+		st.sorted = st.sorted && !sub.outOfOrder
 	}
 }
 
